@@ -1,5 +1,6 @@
 #include "core/io.hpp"
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -84,6 +85,28 @@ std::vector<std::pair<std::size_t, std::string>> logical_lines(
 
 }  // namespace
 
+std::optional<wire_t> parse_wire_token(std::string_view token) {
+  // from_chars on an unsigned type takes no sign and no leading space and
+  // reports overflow; requiring it to consume the whole token rejects
+  // partial reads like "8x".
+  wire_t value = 0;
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::optional<wire_t> parse_header_width(const std::string& line,
+                                         std::string_view keyword) {
+  std::istringstream head(line);
+  std::string word, width_token;
+  head >> word >> width_token;
+  if (word != keyword) return std::nullopt;
+  const auto width = parse_wire_token(width_token);
+  if (!width || *width == 0) return std::nullopt;
+  return width;
+}
+
 std::string to_text(const ComparatorNetwork& net) {
   std::ostringstream out;
   out << "circuit " << net.width() << "\n";
@@ -126,13 +149,9 @@ ComparatorNetwork circuit_from_text(const std::string& text) {
   const auto lines = logical_lines(text);
   if (lines.empty()) throw std::invalid_argument("network text: empty input");
   std::size_t idx = 0;
-  std::istringstream head(lines[idx].second);
-  std::string keyword;
-  wire_t width = 0;
-  head >> keyword >> width;
-  if (keyword != "circuit" || head.fail())
-    fail(lines[idx].first, "expected 'circuit <width>'");
-  ComparatorNetwork net(width);
+  const auto width = parse_header_width(lines[idx].second, "circuit");
+  if (!width) fail(lines[idx].first, "expected 'circuit <width>'");
+  ComparatorNetwork net(*width);
   ++idx;
   for (; idx < lines.size(); ++idx) {
     const auto& [line_no, content] = lines[idx];
@@ -148,13 +167,14 @@ ComparatorNetwork circuit_from_text(const std::string& text) {
       if (op_pos == std::string::npos || op_pos == 0 ||
           op_pos + 1 >= gate_text.size())
         fail(line_no, "malformed gate '" + gate_text + "'");
-      // Gate construction itself rejects self-loops, and stoul rejects
-      // non-numeric / oversized endpoints; both must surface with the
-      // offending line, like every other parse error.
+      const std::string_view gate = gate_text;
+      const auto a = parse_wire_token(gate.substr(0, op_pos));
+      const auto b = parse_wire_token(gate.substr(op_pos + 1));
+      if (!a || !b) fail(line_no, "malformed gate '" + gate_text + "'");
+      // Gate construction itself rejects self-loops; that must surface
+      // with the offending line, like every other parse error.
       try {
-        const auto a = std::stoul(gate_text.substr(0, op_pos));
-        const auto b = std::stoul(gate_text.substr(op_pos + 1));
-        level.gates.emplace_back(static_cast<wire_t>(a), static_cast<wire_t>(b),
+        level.gates.emplace_back(*a, *b,
                                  gate_op_from_char(gate_text[op_pos], line_no));
       } catch (const std::exception& e) {
         fail(line_no, e.what());
@@ -173,12 +193,9 @@ RegisterNetwork register_from_text(const std::string& text) {
   const auto lines = logical_lines(text);
   if (lines.empty()) throw std::invalid_argument("network text: empty input");
   std::size_t idx = 0;
-  std::istringstream head(lines[idx].second);
-  std::string keyword;
-  wire_t width = 0;
-  head >> keyword >> width;
-  if (keyword != "register" || head.fail())
-    fail(lines[idx].first, "expected 'register <width>'");
+  const auto header_width = parse_header_width(lines[idx].second, "register");
+  if (!header_width) fail(lines[idx].first, "expected 'register <width>'");
+  const wire_t width = *header_width;
   RegisterNetwork net(width);
   ++idx;
   for (; idx < lines.size(); ++idx) {
@@ -189,27 +206,39 @@ RegisterNetwork register_from_text(const std::string& text) {
     if (word == "end") return net;
     if (word != "step") fail(line_no, "expected 'step' or 'end'");
     in >> word;
-    Permutation perm;
-    if (word == "shuffle") {
-      perm = shuffle_permutation(width);
-    } else if (word == "perm") {
-      std::vector<wire_t> image(width);
-      for (wire_t r = 0; r < width; ++r) {
-        if (!(in >> image[r])) fail(line_no, "short permutation");
+    // Width-sized storage is built only once the line has supplied that
+    // many tokens (the image, or n/2 op symbols), so memory follows the
+    // input length rather than the number in the header.
+    const bool shuffle = word == "shuffle";
+    std::vector<wire_t> image;
+    if (word == "perm") {
+      std::string token;
+      while (in >> token && token != ";") {
+        const auto r = parse_wire_token(token);
+        if (!r) fail(line_no, "malformed permutation entry '" + token + "'");
+        image.push_back(*r);
       }
-      try {
-        perm = Permutation(std::move(image));
-      } catch (const std::invalid_argument& e) {
-        fail(line_no, e.what());
-      }
+      if (image.size() != width)
+        fail(line_no, "permutation has " + std::to_string(image.size()) +
+                          " entries, expected " + std::to_string(width));
+      word = token;
+    } else if (shuffle) {
+      in >> word;
     } else {
       fail(line_no, "expected 'shuffle' or 'perm'");
     }
-    std::string sep, ops_word, ops_text;
-    in >> sep >> ops_word >> ops_text;
-    if (sep != ";" || ops_word != "ops" || ops_text.size() != width / 2)
+    std::string ops_word, ops_text;
+    in >> ops_word >> ops_text;
+    if (word != ";" || ops_word != "ops" || ops_text.size() != width / 2)
       fail(line_no, "expected '; ops <" + std::to_string(width / 2) +
                         " symbols>'");
+    Permutation perm;
+    try {
+      perm = shuffle ? shuffle_permutation(width)
+                     : Permutation(std::move(image));
+    } catch (const std::invalid_argument& e) {
+      fail(line_no, e.what());
+    }
     std::vector<GateOp> ops(width / 2);
     for (std::size_t k = 0; k < ops.size(); ++k)
       ops[k] = register_op_from_char(ops_text[k], line_no);

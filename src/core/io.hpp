@@ -17,7 +17,9 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/comparator_network.hpp"
 #include "core/register_network.hpp"
@@ -31,6 +33,17 @@ std::string to_text(const RegisterNetwork& net);
 /// std::invalid_argument with a line number on malformed input.
 ComparatorNetwork circuit_from_text(const std::string& text);
 RegisterNetwork register_from_text(const std::string& text);
+
+/// One wire index or width token: decimal digits only (no sign, nothing
+/// after them) and a value that fits wire_t. nullopt for anything else.
+std::optional<wire_t> parse_wire_token(std::string_view token);
+
+/// The width of a `<keyword> <width>` header line: the keyword, then a
+/// wire token greater than 0. nullopt when the line is not of that form.
+/// Shared by every network text format, so no parser reads "-8" or "8x"
+/// as a width.
+std::optional<wire_t> parse_header_width(const std::string& line,
+                                         std::string_view keyword);
 
 /// Graphviz DOT rendering of a circuit.
 std::string to_dot(const ComparatorNetwork& net);

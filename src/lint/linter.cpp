@@ -1,6 +1,7 @@
 #include "lint/linter.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -473,10 +474,11 @@ LintReport lint_network_source(NetworkSource source) {
   report.diagnostics = std::move(source.diagnostics);
   if (source.model == SourceModel::Unknown) return report;
 
-  if (source.width <= 0) {
+  if (source.width <= 0 || source.width > std::numeric_limits<wire_t>::max()) {
     emit(report, LintSeverity::Error, "width-invalid", source.header_line, 0,
          "declared width " + std::to_string(source.width) +
-             " is not a positive wire count");
+             " is not a wire count in 1.." +
+             std::to_string(std::numeric_limits<wire_t>::max()));
     return report;
   }
 

@@ -91,8 +91,12 @@ std::optional<std::string> RdnTree::validate(const ComparatorNetwork& net) const
   const wire_t n = width();
   std::vector<std::vector<int>> membership(d + 1, std::vector<int>(n, -1));
   for (std::size_t id = 0; id < nodes_.size(); ++id)
-    for (const wire_t w : nodes_[id].wires)
+    for (const wire_t w : nodes_[id].wires) {
+      if (w >= n)
+        return "tree wire " + std::to_string(w) + " is outside 0.." +
+               std::to_string(n - 1);
       membership[nodes_[id].level][w] = static_cast<int>(id);
+    }
   for (std::uint32_t t = 0; t <= d; ++t)
     for (wire_t w = 0; w < n; ++w)
       if (membership[t][w] < 0)

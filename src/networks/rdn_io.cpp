@@ -1,9 +1,11 @@
 #include "networks/rdn_io.hpp"
 
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/io.hpp"
+#include "util/bits.hpp"
 
 namespace shufflebound {
 
@@ -25,6 +27,25 @@ char gate_text_op(GateOp op) {
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::invalid_argument("iterated network text: " + what);
+}
+
+std::vector<std::string> words_of(const std::string& row) {
+  std::istringstream in(row);
+  return {std::istream_iterator<std::string>(in),
+          std::istream_iterator<std::string>()};
+}
+
+/// The wire tokens words[from..]. The list grows with the tokens the text
+/// supplies, never with the width in the header.
+std::vector<wire_t> wires_of(const std::vector<std::string>& words,
+                             std::size_t from, const char* what) {
+  std::vector<wire_t> out;
+  for (std::size_t i = from; i < words.size(); ++i) {
+    const auto w = parse_wire_token(words[i]);
+    if (!w) fail(std::string("malformed ") + what + " entry '" + words[i] + "'");
+    out.push_back(*w);
+  }
+  return out;
 }
 
 }  // namespace
@@ -71,45 +92,38 @@ IteratedRdn iterated_from_text(const std::string& text) {
 
   auto header = next_line();
   if (!header) fail("empty input");
-  std::istringstream head(*header);
-  std::string keyword;
-  wire_t width = 0;
-  head >> keyword >> width;
-  if (keyword != "iterated" || head.fail() || width == 0)
-    fail("expected 'iterated <width>'");
+  const auto header_width = parse_header_width(*header, "iterated");
+  if (!header_width) fail("expected 'iterated <width>'");
+  const wire_t width = *header_width;
+  if (width < 2 || !is_pow2(width))
+    fail("width " + std::to_string(width) + " is not 2^l wires with l >= 1");
   IteratedRdn net(width);
 
   for (auto row = next_line(); row; row = next_line()) {
     if (*row == "end") return net;
     // --- stage perm ... ---
-    std::istringstream stage_in(*row);
-    std::string word, perm_word;
-    stage_in >> word >> perm_word;
-    if (word != "stage" || perm_word != "perm") fail("expected 'stage perm'");
-    Permutation pre;
-    std::string maybe_identity;
-    if (stage_in >> maybe_identity) {
-      if (maybe_identity == "identity") {
-        pre = Permutation::identity(width);
-      } else {
-        std::vector<wire_t> image(width);
-        image[0] = static_cast<wire_t>(std::stoul(maybe_identity));
-        for (wire_t j = 1; j < width; ++j) {
-          if (!(stage_in >> image[j])) fail("short permutation");
-        }
-        pre = Permutation(std::move(image));
-      }
-    } else {
-      fail("missing permutation");
+    // Nothing width-sized is built until the text has supplied `width`
+    // tokens (an explicit image, or the tree row below).
+    const std::vector<std::string> stage_words = words_of(*row);
+    if (stage_words.size() < 2 || stage_words[0] != "stage" ||
+        stage_words[1] != "perm")
+      fail("expected 'stage perm'");
+    if (stage_words.size() == 2) fail("missing permutation");
+    const bool identity = stage_words[2] == "identity";
+    std::vector<wire_t> image;
+    if (!identity) {
+      image = wires_of(stage_words, 2, "permutation");
+      if (image.size() != width) fail("permutation has wrong size");
     }
     // --- tree ... ---
     auto tree_row = next_line();
-    if (!tree_row || tree_row->rfind("tree", 0) != 0) fail("expected 'tree'");
-    std::istringstream tree_in(tree_row->substr(4));
-    std::vector<wire_t> order;
-    wire_t w;
-    while (tree_in >> w) order.push_back(w);
+    if (!tree_row) fail("expected 'tree'");
+    const std::vector<std::string> tree_words = words_of(*tree_row);
+    if (tree_words.front() != "tree") fail("expected 'tree'");
+    std::vector<wire_t> order = wires_of(tree_words, 1, "tree leaf");
     if (order.size() != width) fail("tree leaf order has wrong size");
+    Permutation pre =
+        identity ? Permutation::identity(width) : Permutation(std::move(image));
     RdnTree tree = RdnTree::from_order(std::move(order));
     // --- levels until endstage ---
     ComparatorNetwork chunk(width);

@@ -64,6 +64,11 @@ TEST(CircuitText, ParseErrorsCarryLineNumbers) {
   expect_error("circuit 4\nlevel 0+1\n", "missing 'end'");
   expect_error("circuit 4\nbogus\nend\n", "expected 'level' or 'end'");
   expect_error("circuit 4\nlevel 0?1\nend\n", "malformed gate");
+  // Endpoints are whole unsigned tokens: not "3" out of "3y", and no
+  // wrap of 4294967296 to wire 0 or of -2 to 4294967294.
+  expect_error("circuit 4\nlevel 3y+1\nend\n", "malformed gate");
+  expect_error("circuit 4\nlevel 4294967296+1\nend\n", "malformed gate");
+  expect_error("circuit 4\nlevel 1+-2\nend\n", "malformed gate");
   expect_error("circuit 4\nlevel 0+9\nend\n", "out of range");
   expect_error("nonsense 4\nend\n", "expected 'circuit <width>'");
 }
@@ -145,6 +150,20 @@ TEST(RegisterText, ParseErrors) {
   EXPECT_THROW(register_from_text("register 4\nstep waffle ; ops ++\nend\n"),
                std::invalid_argument);
   EXPECT_THROW(register_from_text("circuit 4\nend\n"), std::invalid_argument);
+  EXPECT_THROW(register_from_text("register 4\nstep perm 1 0 3 2 1 ; ops ++\n"
+                                  "end\n"),
+               std::invalid_argument);  // image longer than the width
+}
+
+// A register step supplies its width in tokens (image entries or n/2 op
+// symbols) before any width-sized permutation is built.
+TEST(RegisterText, HugeWidthFailsOnShortStepsWithoutAllocating) {
+  EXPECT_THROW(register_from_text("register 2147483648\n"
+                                  "step shuffle ; ops +\nend\n"),
+               std::invalid_argument);
+  EXPECT_THROW(register_from_text("register 2147483648\n"
+                                  "step perm 1 0 ; ops +\nend\n"),
+               std::invalid_argument);
 }
 
 TEST(RegisterText, ParsedNetworkComputesSameFunction) {

@@ -13,6 +13,7 @@
 #include "core/io.hpp"
 #include "networks/batcher.hpp"
 #include "networks/rdn.hpp"
+#include "networks/rdn_io.hpp"
 #include "networks/shuffle.hpp"
 #include "util/prng.hpp"
 
@@ -507,6 +508,24 @@ TEST(Lint, ExpectRedundantDirectiveRejectsBadPayload) {
   const LintReport report = lint_network_text(
       "# lint: expect-redundant=banana\ncircuit 4\nlevel 0+1\nend\n");
   EXPECT_TRUE(has_rule(report, "unknown-directive"));
+}
+
+// The other half of the contract for headers: every width the linter
+// refuses, all three strict parsers refuse too ("-8" is not 4294967288,
+// "8x" is not 8).
+TEST(Lint, HeaderWidthsTheLinterRefusesDoNotParse) {
+  for (const char* width : {"-8", "+8", "8x", "", "0", "4294967296",
+                            "99999999999999999999"}) {
+    SCOPED_TRACE(width);
+    const auto text = [&](const char* model) {
+      return std::string(model) + " " + width + "\nend\n";
+    };
+    for (const char* model : {"circuit", "register", "iterated"})
+      EXPECT_TRUE(lint_network_text(text(model)).has_errors()) << model;
+    EXPECT_THROW(circuit_from_text(text("circuit")), std::invalid_argument);
+    EXPECT_THROW(register_from_text(text("register")), std::invalid_argument);
+    EXPECT_THROW(iterated_from_text(text("iterated")), std::invalid_argument);
+  }
 }
 
 // The linter accepts everything the strict parsers accept: anything that

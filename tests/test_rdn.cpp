@@ -70,6 +70,18 @@ TEST(RdnTree, ValidateRejectsDepthMismatch) {
   EXPECT_NE(chunk.tree.validate(sliced), std::nullopt);
 }
 
+// from_order takes any leaf list; a leaf outside 0..width-1 must come back
+// as an explanation, not as a write past the per-level membership table.
+TEST(RdnTree, ValidateRejectsLeafOutsideWidth) {
+  const RdnTree tree = RdnTree::from_order({0, 1, 2, 9});
+  ComparatorNetwork net(4);
+  net.add_level(Level{});
+  net.add_level(Level{});
+  const auto err = tree.validate(net);
+  ASSERT_NE(err, std::nullopt);
+  EXPECT_NE(err->find("outside"), std::string::npos) << *err;
+}
+
 TEST(Butterfly, LevelTPairsBitTMinus1) {
   const auto chunk = butterfly_rdn(3);
   ASSERT_EQ(chunk.net.depth(), 3u);

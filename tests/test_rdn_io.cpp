@@ -84,6 +84,9 @@ TEST(IteratedIo, IdentityShorthand) {
 TEST(IteratedIo, ParseErrors) {
   EXPECT_THROW(iterated_from_text(""), std::invalid_argument);
   EXPECT_THROW(iterated_from_text("iterated 0\nend\n"), std::invalid_argument);
+  // Like the linter (width-not-pow2): 2^l wires with l >= 1.
+  EXPECT_THROW(iterated_from_text("iterated 6\nend\n"), std::invalid_argument);
+  EXPECT_THROW(iterated_from_text("iterated 1\nend\n"), std::invalid_argument);
   EXPECT_THROW(iterated_from_text("iterated 4\nstage perm identity\n"
                                   "tree 0 1 2\nendstage\nend\n"),
                std::invalid_argument);  // short leaf order
@@ -93,6 +96,37 @@ TEST(IteratedIo, ParseErrors) {
   // Gates violating the declared tree are rejected at add_stage.
   EXPECT_THROW(iterated_from_text("iterated 4\nstage perm identity\n"
                                   "tree 0 1 2 3\nlevel 0+1\nlevel 0+1\n"
+                                  "endstage\nend\n"),
+               std::invalid_argument);
+}
+
+// Nothing width-sized is built before the text supplies that many tokens:
+// a huge declared width with a short tree or image fails cleanly instead
+// of allocating an identity permutation of that width.
+TEST(IteratedIo, HugeWidthFailsOnShortRowsWithoutAllocating) {
+  EXPECT_THROW(iterated_from_text("iterated 2147483648\nstage perm identity\n"
+                                  "tree 0 1\nendstage\nend\n"),
+               std::invalid_argument);
+  EXPECT_THROW(iterated_from_text("iterated 2147483648\nstage perm 1 0\n"
+                                  "tree 0 1\nendstage\nend\n"),
+               std::invalid_argument);
+  EXPECT_THROW(iterated_from_text("iterated -8\nstage perm identity\n"),
+               std::invalid_argument);
+}
+
+TEST(IteratedIo, RejectsMalformedTreeAndPermutationTokens) {
+  // A tree leaf outside 0..width-1.
+  EXPECT_THROW(iterated_from_text("iterated 4\nstage perm identity\n"
+                                  "tree 0 1 2 9\nlevel\nlevel\n"
+                                  "endstage\nend\n"),
+               std::invalid_argument);
+  // A non-number in the leaf list is an error, not the end of the list.
+  EXPECT_THROW(iterated_from_text("iterated 4\nstage perm identity\n"
+                                  "tree 0 1 2 3 x\nlevel\nlevel\n"
+                                  "endstage\nend\n"),
+               std::invalid_argument);
+  EXPECT_THROW(iterated_from_text("iterated 4\nstage perm 0 1 2 -3\n"
+                                  "tree 0 1 2 3\nlevel\nlevel\n"
                                   "endstage\nend\n"),
                std::invalid_argument);
 }
