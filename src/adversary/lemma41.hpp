@@ -33,8 +33,6 @@
 
 namespace shufflebound {
 
-class ThreadPool;
-
 struct Lemma41Stats {
   std::size_t initial_m0 = 0;   // |A|
   std::size_t retained = 0;     // |B|
@@ -59,27 +57,26 @@ struct Lemma41Result {
 
 /// Runs Lemma 4.1 on a fixed chunk. Throws if p contains symbols other
 /// than S_0 / M_0 / L_0, if k == 0, or if the chunk is malformed.
-/// `pool` fans the per-level work (gate validation, per-parent matching,
-/// symbol stepping, set merging) out over the pool's workers; nullptr is
-/// the serial reference path. Both paths produce bit-identical results:
-/// every parallel loop writes disjoint, pre-assigned slots.
 Lemma41Result lemma41(const RdnChunk& chunk, const InputPattern& p,
-                      std::uint32_t k, ThreadPool* pool = nullptr);
+                      std::uint32_t k);
 
 /// Level-stepped driver for the adaptive setting: the adversary commits to
 /// nothing ahead of time; `next_level(m)` is called once per level
 /// m = 1..depth and may choose that level's gates adaptively (it must
 /// still respect the RDN tree - validated per level). The full network
 /// assembled from the returned levels is available afterwards.
+///
+/// Every RdnTree is a contiguous halving of its leaf order, so the
+/// level-t node of wire w is rank[w] >> t (rank = position in the leaf
+/// order) and w lies in that node's right child iff bit t-1 of its rank
+/// is set. The driver keeps only the leaf order and the ranks; each level
+/// is one pass over its gates plus the parents that saw a collision.
 class Lemma41Driver {
  public:
-  Lemma41Driver(RdnTree tree, InputPattern p, std::uint32_t k);
-
-  /// Fans per-level work out over `pool` (nullptr = serial reference).
-  /// The parallel path is bit-identical to the serial one: each loop
-  /// writes disjoint wire/line/node slots, and ordered outputs (the
-  /// sacrificed list) are concatenated in the serial iteration order.
-  void set_parallelism(ThreadPool* pool) noexcept { pool_ = pool; }
+  /// Throws invalid_argument if k == 0, if the pattern width differs
+  /// from the tree's, if the pattern holds anything but S_0 / M_0 / L_0,
+  /// or if the tree's leaf order is not a permutation of 0..n-1.
+  Lemma41Driver(const RdnTree& tree, InputPattern p, std::uint32_t k);
 
   /// Hook invoked once per feed_level call before any work - the
   /// cooperative-deadline discipline of the certify path (throw from the
@@ -94,7 +91,7 @@ class Lemma41Driver {
   std::vector<wire_t> feed_level(const Level& level);
 
   std::uint32_t levels_fed() const noexcept { return level_; }
-  std::uint32_t depth() const noexcept { return tree_.depth(); }
+  std::uint32_t depth() const noexcept { return depth_; }
 
   /// Finalizes; valid once levels_fed() == depth().
   Lemma41Result finish() &&;
@@ -113,34 +110,37 @@ class Lemma41Driver {
   InputPattern current_state() const { return InputPattern(state_); }
 
  private:
-  struct NodeSets {
-    // Sparse collection: (set index, wires) sorted by index.
-    std::vector<std::pair<std::uint32_t, std::vector<wire_t>>> sets;
+  /// A comparator between two tracked values at the current level.
+  struct Collision {
+    std::uint32_t left_set;
+    std::uint32_t right_set;
+    wire_t left_wire;
   };
 
   void demote(wire_t w, std::uint32_t set_index, std::uint32_t xj);
 
-  /// Runs body(i) for i in [0, count): over the pool when one is set and
-  /// the trip count clears `grain`, serially otherwise. Iterations must
-  /// be independent (disjoint writes), which every caller guarantees.
-  void run_indexed(std::size_t count, std::size_t grain,
-                   const std::function<void(std::size_t)>& body);
-
-  RdnTree tree_;
-  ThreadPool* pool_ = nullptr;
   std::function<void()> progress_;
   std::uint32_t k_ = 1;
+  std::uint32_t depth_ = 0;
   std::uint32_t level_ = 0;  // levels processed so far
   ComparatorNetwork net_;
 
+  std::vector<wire_t> order_;            // leaf order of the tree
+  std::vector<wire_t> rank_;             // wire -> position in order_
   InputPattern pattern_;                 // input-side pattern (maintained)
   std::vector<PatternSymbol> state_;     // symbol currently on each line
   std::vector<wire_t> pos_of_wire_;      // tracked wire -> current line
   std::vector<wire_t> wire_at_pos_;      // line -> tracked wire or npos
-  std::vector<NodeSets> node_sets_;      // per tree-node id (current layer)
-  std::vector<int> node_of_wire_;        // wire -> current-layer node id
   std::vector<std::uint32_t> set_index_of_wire_;  // wire -> its M_i index
   std::uint32_t next_xj_ = 0;            // fresh j for X_{i,j} demotions
+
+  // Per-level scratch, sized once: collisions in gate-scan order, the
+  // same grouped by parent (stable), per-parent start offsets, and the
+  // k^2 loss counters (all zero between parents).
+  std::vector<Collision> collisions_;
+  std::vector<Collision> grouped_;
+  std::vector<std::uint32_t> parent_start_;
+  std::vector<std::uint32_t> loss_;
 
   Lemma41Stats stats_;
   static constexpr wire_t npos = static_cast<wire_t>(-1);

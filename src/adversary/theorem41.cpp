@@ -120,12 +120,9 @@ AdversaryResult run_adversary(const IteratedRdn& net,
     {
       SB_OBS_SPAN("refuter", "lemma41_refine");
       SB_OBS_TIME_COUNT("refuter.phase_us.lemma41_refine");
-      // Inlined lemma41() so the driver can carry the pool and the
-      // per-level progress hook (cooperative deadline).
-      if (auto err = stage.chunk.tree.validate(stage.chunk.net))
-        throw std::invalid_argument("lemma41: chunk is not an RDN: " + *err);
+      // Inlined lemma41() for the per-level progress hook (cooperative
+      // deadline). add_stage already validated the chunk against its tree.
       Lemma41Driver driver(stage.chunk.tree, cut_pattern, k);
-      driver.set_parallelism(pool);
       if (options.progress) driver.set_progress(options.progress);
       for (const Level& level : stage.chunk.net.levels())
         driver.feed_level(level);

@@ -59,14 +59,14 @@ struct AdversaryOptions {
   /// k = 0 selects the paper's choice k = lg n (and at least 1).
   std::uint32_t k = 0;
   SetSelection selection = SetSelection::Largest;
-  /// Fans the per-level and per-slot work out over this pool; nullptr is
-  /// the serial reference path. Both paths are bit-identical (every
-  /// parallel loop writes disjoint pre-assigned slots), so the serial
-  /// mode stays available for differential tests via this flag alone.
+  /// Fans the per-slot pull-back and renormalization out over this pool
+  /// (the Lemma 4.1 driver itself is serial); nullptr is the serial
+  /// reference path. Both paths are bit-identical (every parallel loop
+  /// writes disjoint pre-assigned slots).
   ThreadPool* pool = nullptr;
   /// Invoked once per RDN level consumed - the cooperative-deadline hook
-  /// (throw to abort; the exception propagates out of run_adversary, also
-  /// across pool workers via parallel_for's exception channel).
+  /// (throw to abort; the exception propagates out of run_adversary). It
+  /// always runs on the calling thread.
   std::function<void()> progress;
 };
 
