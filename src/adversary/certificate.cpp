@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/io.hpp"
 #include "pattern/format.hpp"
 #include "util/crc32.hpp"
 
@@ -383,13 +384,33 @@ Certificate certificate_from_v1_text(const std::string& text) {
   if (next_line("header") != kV1Header)
     throw std::invalid_argument("certificate: bad header");
 
+  // Every other row is `<key> <wire>...`. Each value must be a whole
+  // wire token (parse_wire_token): a sign, junk or trailing text refuses
+  // the row instead of silently cutting it short.
+  const auto read_row = [&](const char* key) {
+    std::istringstream row(next_line(key));
+    std::string word;
+    row >> word;
+    if (word != key)
+      throw std::invalid_argument(std::string("certificate: bad '") + key +
+                                  "' row");
+    std::vector<wire_t> values;
+    while (row >> word) {
+      const auto value = parse_wire_token(word);
+      if (!value)
+        throw std::invalid_argument(std::string("certificate: bad value '") +
+                                    word + "' in '" + key + "' row");
+      values.push_back(*value);
+    }
+    return values;
+  };
+
   Certificate cert;
   {
-    std::istringstream row(next_line("n"));
-    std::string key;
-    row >> key >> cert.n;
-    if (key != "n" || row.fail() || cert.n == 0)
+    const std::vector<wire_t> n = read_row("n");
+    if (n.size() != 1 || n[0] == 0)
       throw std::invalid_argument("certificate: bad 'n' row");
+    cert.n = n[0];
   }
   {
     std::string row = next_line("pattern");
@@ -399,39 +420,32 @@ Certificate certificate_from_v1_text(const std::string& text) {
     if (cert.pattern.size() != cert.n)
       throw std::invalid_argument("certificate: pattern width mismatch");
   }
-  {
-    std::istringstream row(next_line("survivors"));
-    std::string key;
-    row >> key;
-    if (key != "survivors")
-      throw std::invalid_argument("certificate: bad 'survivors' row");
-    wire_t w;
-    while (row >> w) cert.survivors.push_back(w);
-  }
-  const auto read_perm = [&](const char* key_expected) {
-    std::istringstream row(next_line(key_expected));
-    std::string key;
-    row >> key;
-    if (key != key_expected)
-      throw std::invalid_argument(std::string("certificate: bad '") +
-                                  key_expected + "' row");
-    std::vector<wire_t> image(cert.n);
-    for (wire_t w = 0; w < cert.n; ++w) {
-      if (!(row >> image[w]))
-        throw std::invalid_argument(std::string("certificate: short '") +
-                                    key_expected + "' row");
-    }
+  cert.survivors = read_row("survivors");
+  const auto read_perm = [&](const char* key) {
+    std::vector<wire_t> image = read_row(key);
+    if (image.size() != cert.n)
+      throw std::invalid_argument(std::string("certificate: '") + key +
+                                  "' row does not hold n entries");
     return Permutation(std::move(image));
   };
   cert.witness.pi = read_perm("pi");
   cert.witness.pi_prime = read_perm("pi_prime");
   {
     std::istringstream row(next_line("w0"));
-    std::string k0, k1, km;
-    row >> k0 >> cert.witness.w0 >> k1 >> cert.witness.w1 >> km >>
-        cert.witness.m;
-    if (k0 != "w0" || k1 != "w1" || km != "m" || row.fail())
+    std::vector<std::string> words;
+    for (std::string word; row >> word;) words.push_back(word);
+    std::optional<wire_t> w0, w1, m;
+    if (words.size() == 6 && words[0] == "w0" && words[2] == "w1" &&
+        words[4] == "m") {
+      w0 = parse_wire_token(words[1]);
+      w1 = parse_wire_token(words[3]);
+      m = parse_wire_token(words[5]);
+    }
+    if (!w0 || !w1 || !m)
       throw std::invalid_argument("certificate: bad witness row");
+    cert.witness.w0 = *w0;
+    cert.witness.w1 = *w1;
+    cert.witness.m = *m;
   }
   if (next_line("end") != "end")
     throw std::invalid_argument("certificate: missing 'end'");

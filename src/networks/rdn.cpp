@@ -86,34 +86,34 @@ std::optional<std::string> RdnTree::validate(const ComparatorNetwork& net) const
   if (net.width() != width()) return "width mismatch";
   if (net.depth() != depth()) return "depth mismatch";
 
-  // membership[t][w] = node id of wire w at level t.
+  // Every tree is a contiguous halving of its leaf order, so the level-t
+  // node of wire w is rank[w] >> t and its side in the level-(t+1) node
+  // is bit t of the rank. A leaf order that is a permutation of 0..n-1
+  // covers every wire at every level.
   const std::uint32_t d = depth();
   const wire_t n = width();
-  std::vector<std::vector<int>> membership(d + 1, std::vector<int>(n, -1));
-  for (std::size_t id = 0; id < nodes_.size(); ++id)
-    for (const wire_t w : nodes_[id].wires) {
-      if (w >= n)
-        return "tree wire " + std::to_string(w) + " is outside 0.." +
-               std::to_string(n - 1);
-      membership[nodes_[id].level][w] = static_cast<int>(id);
-    }
-  for (std::uint32_t t = 0; t <= d; ++t)
-    for (wire_t w = 0; w < n; ++w)
-      if (membership[t][w] < 0)
-        return "tree does not cover wire " + std::to_string(w) + " at level " +
-               std::to_string(t);
+  constexpr wire_t kUnranked = static_cast<wire_t>(-1);
+  const std::vector<wire_t> order = leaf_order();
+  std::vector<wire_t> rank(n, kUnranked);
+  for (wire_t r = 0; r < order.size(); ++r) {
+    const wire_t w = order[r];
+    if (w >= n)
+      return "tree wire " + std::to_string(w) + " is outside 0.." +
+             std::to_string(n - 1);
+    rank[w] = r;
+  }
+  for (wire_t w = 0; w < n; ++w)
+    if (rank[w] == kUnranked)
+      return "tree does not cover wire " + std::to_string(w) + " at level 0";
 
   for (std::uint32_t t = 1; t <= d; ++t) {
     for (const Gate& g : net.level(t - 1).gates) {
-      const int id = membership[t][g.lo];
-      if (id != membership[t][g.hi])
+      const wire_t a = rank[g.lo];
+      const wire_t b = rank[g.hi];
+      if ((a >> t) != (b >> t))
         return "level " + std::to_string(t) + " gate spans two level-" +
                std::to_string(t) + " nodes";
-      const Node& parent = node(id);
-      const int lo_child = membership[t - 1][g.lo];
-      const int hi_child = membership[t - 1][g.hi];
-      if (lo_child == hi_child || (lo_child != parent.left && lo_child != parent.right) ||
-          (hi_child != parent.left && hi_child != parent.right))
+      if (((a ^ b) >> (t - 1)) == 0)
         return "level " + std::to_string(t) +
                " gate does not cross the two subnetworks";
     }

@@ -7,7 +7,10 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <stdexcept>
 #include <string>
+
+#include "service/json.hpp"
 
 namespace shufflebound {
 namespace {
@@ -24,6 +27,19 @@ bool send_all(int fd, const char* data, std::size_t size) {
     return false;
   }
   return true;
+}
+
+/// Is `line` an error response whose code is `overloaded`?
+bool is_overloaded(const std::string& line) {
+  if (line.find("overloaded") == std::string::npos) return false;
+  try {
+    const JsonValue doc = JsonValue::parse(line);
+    const JsonValue* code = doc.find("code");
+    return code != nullptr && code->is_string() &&
+           code->as_string() == "overloaded";
+  } catch (const std::exception&) {
+    return false;
+  }
 }
 
 }  // namespace
@@ -48,7 +64,7 @@ int client_connect(const ClientConfig& config) {
 int run_client(const ClientConfig& config, std::istream& in,
                std::ostream& out) {
   const int fd = client_connect(config);
-  if (fd < 0) return 1;
+  if (fd < 0) return kClientBroken;
 
   // Responses are drained opportunistically between sends: a one-way
   // send-everything-then-read pump would wedge once both socket buffers
@@ -56,6 +72,7 @@ int run_client(const ClientConfig& config, std::istream& in,
   // client write-stalled and drop it).
   std::uint64_t requests = 0;
   std::uint64_t responses = 0;
+  bool overloaded = false;
   std::string rx;
   char chunk[4096];
 
@@ -75,7 +92,9 @@ int run_client(const ClientConfig& config, std::istream& in,
     std::size_t start = 0;
     for (std::size_t nl = rx.find('\n', start); nl != std::string::npos;
          nl = rx.find('\n', start)) {
-      out << rx.substr(start, nl - start) << "\n";
+      const std::string response = rx.substr(start, nl - start);
+      out << response << "\n";
+      overloaded = overloaded || is_overloaded(response);
       ++responses;
       start = nl + 1;
     }
@@ -89,7 +108,7 @@ int run_client(const ClientConfig& config, std::istream& in,
     line.push_back('\n');
     if (!send_all(fd, line.data(), line.size())) {
       ::close(fd);
-      return 1;
+      return kClientBroken;
     }
     ++requests;
     if (!drain_ready()) {
@@ -114,7 +133,8 @@ int run_client(const ClientConfig& config, std::istream& in,
   }
   flush_lines();
   ::close(fd);
-  return responses == requests ? 0 : 1;
+  if (responses != requests) return kClientBroken;
+  return overloaded ? kClientOverloaded : kClientOk;
 }
 
 }  // namespace shufflebound

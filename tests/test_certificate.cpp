@@ -91,6 +91,62 @@ TEST(Certificate, MalformedTextRejected) {
   EXPECT_THROW(certificate_from_text(text), std::invalid_argument);
 }
 
+/// `text` with the row that starts with `key` followed by a space
+/// replaced by `row`.
+std::string with_row(const std::string& text, const std::string& key,
+                     const std::string& row) {
+  const std::size_t at = text.find("\n" + key + " ") + 1;
+  const std::size_t end = text.find('\n', at);
+  return text.substr(0, at) + row + text.substr(end);
+}
+
+// Every numeric token of a v1 row is a whole wire value: a bad token
+// refuses the certificate instead of ending the row early (where a
+// truncated survivor list used to verify as ACCEPTED).
+TEST(Certificate, V1RowsRefuseBadTokens) {
+  const Certificate cert = sample_certificate(16, 6, 6);
+  const std::string text = to_text(cert);
+  ASSERT_NO_THROW(certificate_from_text(text));
+  std::string survivors = "survivors";
+  for (const wire_t w : cert.survivors) survivors += " " + std::to_string(w);
+  std::string pi = "pi";
+  for (wire_t w = 0; w < cert.n; ++w) pi += " " + std::to_string(cert.witness.pi[w]);
+  std::string pi_prime = "pi_prime";
+  for (wire_t w = 0; w < cert.n; ++w)
+    pi_prime += " " + std::to_string(cert.witness.pi_prime[w]);
+  const std::string witness = "w0 " + std::to_string(cert.witness.w0) +
+                              " w1 " + std::to_string(cert.witness.w1) +
+                              " m " + std::to_string(cert.witness.m);
+
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"n", "n -8"},
+      {"n", "n 16 16"},
+      {"n", "n 16x"},
+      {"survivors", "survivors 3 4 5 6 junk 9"},
+      {"survivors", survivors + " -1"},
+      {"pi", pi + " 0"},
+      {"pi", "pi -" + pi.substr(3)},
+      {"pi_prime", pi_prime + " junk"},
+      {"pi_prime", pi_prime.substr(0, pi_prime.rfind(' '))},
+      {"w0", witness + " 7"},
+      {"w0", "w0 -1 w1 " + std::to_string(cert.witness.w1) + " m " +
+                 std::to_string(cert.witness.m)},
+      {"w0", "w0 " + std::to_string(cert.witness.w0) + " w1 2x m " +
+                 std::to_string(cert.witness.m)},
+  };
+  for (const auto& [key, row] : bad) {
+    EXPECT_THROW(certificate_from_text(with_row(text, key, row)),
+                 std::invalid_argument)
+        << row;
+  }
+  // The rows rebuilt from their values parse back to the same text.
+  const std::string rebuilt =
+      with_row(with_row(with_row(with_row(text, "survivors", survivors), "pi", pi),
+                        "pi_prime", pi_prime),
+               "w0", witness);
+  EXPECT_EQ(to_text(certificate_from_text(rebuilt)), text);
+}
+
 TEST(Certificate, NoCertificateWithoutSurvivors) {
   AdversaryResult result;
   result.input_pattern = InputPattern(4, sym_S(0));

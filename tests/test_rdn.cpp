@@ -82,6 +82,44 @@ TEST(RdnTree, ValidateRejectsLeafOutsideWidth) {
   EXPECT_NE(err->find("outside"), std::string::npos) << *err;
 }
 
+// A duplicated leaf leaves some wire uncovered at every level.
+TEST(RdnTree, ValidateRejectsDuplicatedLeaf) {
+  const RdnTree tree = RdnTree::from_order({0, 1, 1, 3});
+  ComparatorNetwork net(4);
+  net.add_level(Level{});
+  net.add_level(Level{});
+  const auto err = tree.validate(net);
+  ASSERT_NE(err, std::nullopt);
+  EXPECT_NE(err->find("does not cover wire 2"), std::string::npos) << *err;
+}
+
+TEST(RdnTree, ValidateNamesEachGateFault) {
+  const RdnTree tree = RdnTree::contiguous(2);  // level 1: {0,1} {2,3}
+  ComparatorNetwork spans(4);
+  spans.add_level({Gate(1, 2, GateOp::CompareAsc)});
+  spans.add_level(Level{});
+  const auto spans_err = tree.validate(spans);
+  ASSERT_NE(spans_err, std::nullopt);
+  EXPECT_NE(spans_err->find("level 1 gate spans two level-1 nodes"),
+            std::string::npos)
+      << *spans_err;
+
+  ComparatorNetwork same_side(4);
+  same_side.add_level(Level{});
+  same_side.add_level({Gate(2, 3, GateOp::CompareAsc)});
+  const auto side_err = tree.validate(same_side);
+  ASSERT_NE(side_err, std::nullopt);
+  EXPECT_NE(side_err->find("level 2 gate does not cross"), std::string::npos)
+      << *side_err;
+
+  // A non-identity leaf order: level-1 nodes are {3,0} and {2,1}.
+  const RdnTree shuffled = RdnTree::from_order({3, 0, 2, 1});
+  ComparatorNetwork ok(4);
+  ok.add_level({Gate(0, 3, GateOp::CompareAsc), Gate(1, 2, GateOp::CompareDesc)});
+  ok.add_level({Gate(0, 1, GateOp::CompareAsc), Gate(2, 3, GateOp::CompareAsc)});
+  EXPECT_EQ(shuffled.validate(ok), std::nullopt);
+}
+
 TEST(Butterfly, LevelTPairsBitTMinus1) {
   const auto chunk = butterfly_rdn(3);
   ASSERT_EQ(chunk.net.depth(), 3u);

@@ -918,7 +918,8 @@ int cmd_serve(int argc, char** argv) {
 // connect: the minimal client. Streams JSONL request lines from a file
 // (or stdin) to a running server and prints the response lines in
 // request order. Exit 0 = one response per request, 1 = connection
-// trouble or a short response stream, 2 = usage.
+// trouble or a short response stream, 2 = usage, 3 = a complete stream
+// in which some request was answered `overloaded` (not run).
 int cmd_connect(int argc, char** argv) {
   ClientConfig config;
   std::string input_path = "-";
