@@ -11,6 +11,8 @@
 #include "util/bits.hpp"
 #include "util/prng.hpp"
 
+#include <type_traits>
+
 namespace shufflebound {
 namespace {
 
@@ -76,18 +78,23 @@ TEST(Witness, SortingNetworkNeverRefuted) {
   EXPECT_FALSE(check.refutes_sorting());
 }
 
+// All fields are 64-bit so the struct has no padding: gtest prints the raw
+// bytes of the parameter into the test name, and uninitialised padding would
+// make those names change from run to run.
 struct FamilyCase {
-  wire_t n;
-  std::size_t depth;  // shuffle steps
+  std::uint64_t n;
+  std::uint64_t depth;  // shuffle steps
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<FamilyCase>);
 
 class WitnessFamilies : public ::testing::TestWithParam<FamilyCase> {};
 
 TEST_P(WitnessFamilies, RandomShuffleNetworksAlwaysRefuted) {
   const auto [n, depth, seed] = GetParam();
   Prng rng(seed);
-  const RegisterNetwork reg = random_shuffle_network(n, depth, rng, {10, 10});
+  const RegisterNetwork reg =
+      random_shuffle_network(static_cast<wire_t>(n), depth, rng, {10, 10});
   const IteratedRdn rdn = shuffle_to_iterated_rdn(reg);
   const AdversaryResult r = run_adversary(rdn);
   ASSERT_GE(r.survivors.size(), 2u)
